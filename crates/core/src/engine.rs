@@ -150,10 +150,6 @@ impl Engine {
         );
         db.add_index(node, "tid_id", vec![c(NCol::Tid), c(NCol::Id)]);
         db.analyze(node, &[c(NCol::Name), c(NCol::Value)]);
-        // Per-tree spreads of the same columns: feeds the planner's
-        // chunked-anchor penalty (a tag confined to few trees starts
-        // streaming sooner than one smeared across the corpus).
-        db.analyze_grouped(node, c(NCol::Tid), &[c(NCol::Name), c(NCol::Value)]);
 
         Engine {
             db,
@@ -1650,6 +1646,33 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn first_rows_pages_anchor_on_the_verb() {
+        // Page 1 of Q2/Q3/Q4/Q7 must start from the VB alias: each VB
+        // then reaches its partner with one (name, tid, left) point
+        // probe. Anchored on the output alias instead, the reverse
+        // join has no point probe and scans every VB of the tree per
+        // candidate.
+        let e = Engine::build(&lpath_model::generate(&lpath_model::GenConfig::wsj(300)));
+        let vb = e.interner.get("VB").expect("the WSJ profile has VB");
+        let name = e.cols.col(NCol::Name);
+        let cfg = PlannerConfig {
+            order: e.planner.order,
+            goal: OptGoal::FirstRows(10),
+        };
+        for id in [2, 3, 4, 7] {
+            let q = crate::queryset::QUERIES[id - 1].lpath;
+            let cq = e.translate(&lpath_syntax::parse(q).unwrap()).unwrap();
+            let plan = rel::plan(&e.db, &cq, &cfg);
+            let binds_vb =
+                Cond::against_const(ColRef::new(plan.steps[0].alias, name), Cmp::Eq, vb.0);
+            assert!(
+                cq.conds.contains(&binds_vb),
+                "Q{id} {q}: step 0 does not bind VB\n{plan}"
+            );
         }
     }
 

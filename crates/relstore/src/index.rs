@@ -1,14 +1,44 @@
 //! Ordered secondary indexes.
 //!
 //! An index is a permutation of the table's rows sorted by a key column
-//! list. Lookups are binary searches: an *equality prefix* over the
-//! leading key columns, optionally refined by a *range* on the next key
-//! column. This supports exactly the access patterns the paper's axis
-//! joins need, e.g. on the clustered key `{name, tid, left, …}`:
+//! list. A lookup gives an *equality prefix* over the leading key
+//! columns, optionally refined by a *range* on the next key column. This
+//! supports exactly the access patterns the paper's axis joins need,
+//! e.g. on the clustered key `{name, tid, left, …}`:
 //!
 //! * `name = 'NP' ∧ tid = t ∧ left = c.right` — immediate-following;
 //! * `name = 'NP' ∧ tid = t ∧ left ≥ c.right` — following;
 //! * `name = 'NP' ∧ tid = t ∧ c.left ≤ left ≤ c.right` — containment.
+//!
+//! # How a probe runs
+//!
+//! * **Directory.** [`Index::build`] records, in one pass over the
+//!   sorted permutation, each distinct value of the leading key column
+//!   and the offset where its run starts. A probe finds `prefix[0]`'s
+//!   run by a binary search over this short, contiguous list instead of
+//!   over the whole permutation.
+//! * **Per-column narrowing.** Within a run of equal leading values the
+//!   rows are sorted by the second key column, within a run of equal
+//!   second values by the third, and so on. So each further prefix value
+//!   narrows the window by searches on that one column alone: a binary
+//!   search for where its values start, then a galloping search
+//!   (doubling steps, then binary) from there for where they end, since
+//!   that end is usually close. The `lo`/`hi` bound on the next column
+//!   narrows the window the same way.
+//! * **Contiguous clustered read.** When the table's physical order is
+//!   already sorted by the key (the clustered index), position `i` of
+//!   the permutation and row `i` of the table carry equal keys, so the
+//!   searches read the key columns as contiguous table slices and skip
+//!   the `perm → row → column` indirection. This is decided once at
+//!   build time by checking that the table is sorted by the key, which
+//!   holds even when duplicate keys leave the sorted permutation
+//!   different from the identity.
+//!
+//! A probe returns a subslice of the sorted permutation: the rows whose
+//! key lies in the window, in key order. The slice is the one a single
+//! lexicographic binary search over the whole permutation would return,
+//! down to its position, so cursor positions and checkpoints that
+//! index into it are independent of how it was found.
 
 use std::ops::Bound;
 
@@ -21,15 +51,45 @@ use crate::value::Value;
 pub struct Index {
     key: Vec<ColId>,
     perm: Vec<RowId>,
+    /// Distinct values of the leading key column, ascending.
+    dir_vals: Vec<Value>,
+    /// `dir_starts[i]` is the offset in `perm` where the run of
+    /// `dir_vals[i]` starts; one trailing entry holds `perm.len()`.
+    dir_starts: Vec<u32>,
+    /// The table's physical order is sorted by `key`, so the key of
+    /// `perm[i]` equals the key of row `i`.
+    clustered: bool,
 }
 
 impl Index {
-    /// Build by sorting the row permutation; `O(n log n)`.
+    /// Build by sorting the row permutation; `O(n log n)`, plus one
+    /// `O(n)` pass each for the directory and the clustered check.
     pub fn build(table: &Table, key: Vec<ColId>) -> Self {
         assert!(!key.is_empty(), "index needs at least one key column");
         let mut perm: Vec<RowId> = table.scan().collect();
         perm.sort_unstable_by(|&a, &b| table.cmp_rows(a, b, &key));
-        Index { key, perm }
+        let clustered =
+            (1..perm.len() as u32).all(|i| table.cmp_rows(RowId(i - 1), RowId(i), &key).is_le());
+        let lead = table.column(key[0]);
+        let mut dir_vals = Vec::new();
+        let mut dir_starts = Vec::new();
+        for (i, &r) in perm.iter().enumerate() {
+            let v = lead[r.index()];
+            if dir_vals.last() != Some(&v) {
+                dir_vals.push(v);
+                dir_starts.push(i as u32);
+            }
+        }
+        dir_starts.push(perm.len() as u32);
+        dir_vals.shrink_to_fit();
+        dir_starts.shrink_to_fit();
+        Index {
+            key,
+            perm,
+            dir_vals,
+            dir_starts,
+            clustered,
+        }
     }
 
     /// The key columns, major first.
@@ -53,7 +113,8 @@ impl Index {
     }
 
     /// Rows whose leading key columns equal `prefix` and whose *next*
-    /// key column lies within `(lo, hi)`.
+    /// key column lies within `(lo, hi)`. `table` must be the table the
+    /// index was built on.
     ///
     /// # Panics
     /// Panics if `prefix` is as long as the whole key but a bound is
@@ -76,49 +137,89 @@ impl Index {
             !bounded || prefix.len() < self.key.len(),
             "range bound given but prefix covers the whole key"
         );
+        debug_assert_eq!(table.num_rows(), self.perm.len(), "probe on another table");
 
-        // Row `r` is *before* the window iff its prefix is less than
-        // `prefix`, or prefixes tie and the next column is below `lo`.
-        let start = self
-            .perm
-            .partition_point(|&r| match self.cmp_prefix(table, r, prefix) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => match lo {
-                    Bound::Unbounded => false,
-                    Bound::Included(v) => self.next_col(table, r, prefix.len()) < v,
-                    Bound::Excluded(v) => self.next_col(table, r, prefix.len()) <= v,
-                },
-            });
-        let end = self
-            .perm
-            .partition_point(|&r| match self.cmp_prefix(table, r, prefix) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(v) => self.next_col(table, r, prefix.len()) <= v,
-                    Bound::Excluded(v) => self.next_col(table, r, prefix.len()) < v,
-                },
-            });
-        &self.perm[start..end.max(start)]
-    }
-
-    #[inline]
-    fn cmp_prefix(&self, table: &Table, row: RowId, prefix: &[Value]) -> std::cmp::Ordering {
-        for (&k, &want) in self.key.iter().zip(prefix) {
-            let ord = table.value(row, k).cmp(&want);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
+        let (mut start, mut end) = match prefix.first() {
+            None => (0, self.perm.len()),
+            Some(&v) => {
+                // An absent value yields the empty run at its insertion
+                // point, where the lexicographic search would end too.
+                let i = self.dir_vals.partition_point(|&d| d < v);
+                let s = self.dir_starts[i] as usize;
+                if self.dir_vals.get(i) == Some(&v) {
+                    (s, self.dir_starts[i + 1] as usize)
+                } else {
+                    (s, s)
+                }
             }
+        };
+        for (j, &v) in prefix.iter().enumerate().skip(1) {
+            (start, end) =
+                self.narrow(table, j, start, end, Bound::Included(v), Bound::Included(v));
         }
-        std::cmp::Ordering::Equal
+        if bounded {
+            (start, end) = self.narrow(table, prefix.len(), start, end, lo, hi);
+        }
+        &self.perm[start..end]
     }
 
+    /// Narrow `start..end`, a run of rows equal on the key columns
+    /// before `j` (so sorted on column `j`), to the rows whose
+    /// column-`j` value lies within `(lo, hi)`.
     #[inline]
-    fn next_col(&self, table: &Table, row: RowId, prefix_len: usize) -> Value {
-        table.value(row, self.key[prefix_len])
+    fn narrow(
+        &self,
+        table: &Table,
+        j: usize,
+        start: usize,
+        end: usize,
+        lo: Bound<Value>,
+        hi: Bound<Value>,
+    ) -> (usize, usize) {
+        let col = table.column(self.key[j]);
+        let (a, b) = if self.clustered {
+            window(&col[start..end], lo, hi, |&v| v)
+        } else {
+            window(&self.perm[start..end], lo, hi, |r| col[r.index()])
+        };
+        (start + a, start + b)
     }
+}
+
+/// The sub-window `a..b` of `run` (sorted by `val`) whose values lie
+/// within `(lo, hi)`. An empty window sits at the `lo` insertion point.
+#[inline]
+fn window<T>(
+    run: &[T],
+    lo: Bound<Value>,
+    hi: Bound<Value>,
+    val: impl Fn(&T) -> Value,
+) -> (usize, usize) {
+    let a = match lo {
+        Bound::Unbounded => 0,
+        Bound::Included(v) => run.partition_point(|x| val(x) < v),
+        Bound::Excluded(v) => run.partition_point(|x| val(x) <= v),
+    };
+    let rest = &run[a..];
+    let b = match hi {
+        Bound::Unbounded => rest.len(),
+        Bound::Included(v) => gallop(rest, |x| val(x) <= v),
+        Bound::Excluded(v) => gallop(rest, |x| val(x) < v),
+    };
+    (a, a + b)
+}
+
+/// `run.partition_point(pred)`, found by probing doubling distances
+/// from the front before the binary search: windows are mostly short
+/// next to the run they are cut from, so the end is usually near.
+#[inline]
+fn gallop<T>(run: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= run.len() && pred(&run[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    lo + run[lo..(lo + step).min(run.len())].partition_point(pred)
 }
 
 #[cfg(test)]
@@ -218,6 +319,25 @@ mod tests {
     fn bound_without_next_column_panics() {
         let (t, idx) = sample();
         idx.range(&t, &[1, 1, 5], Bound::Included(1), Bound::Unbounded);
+    }
+
+    #[test]
+    fn clustered_read_detected_by_sort_order_not_identity() {
+        // Duplicate keys: the sorted permutation need not be the
+        // identity, yet the table's own order is sorted by the key.
+        let mut t = Table::new(Schema::new(&["a", "b"]));
+        for row in [[2, 0], [1, 0], [2, 1], [1, 0], [2, 0], [1, 1]] {
+            t.push_row(&row);
+        }
+        assert!(!Index::build(&t, vec![ColId(0)]).clustered);
+        t.cluster_by(&[ColId(0), ColId(1)]);
+        for key in [vec![ColId(0)], vec![ColId(0), ColId(1)]] {
+            let idx = Index::build(&t, key);
+            assert!(idx.clustered);
+            assert_eq!(idx.dir_vals, [1, 2]);
+            assert_eq!(idx.dir_starts, [0, 3, 6]);
+        }
+        assert!(!Index::build(&t, vec![ColId(1), ColId(0)]).clustered);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use plan::{AccessPath, JoinStep, Plan, SubCheck};
 pub use planner::{plan, plan_fingerprint, plan_signature, JoinOrder, OptGoal, PlannerConfig};
 pub use schema::{ColId, Schema};
 pub use sql::{ConjQuery, SubQuery};
-pub use stats::{ColumnStats, GroupSpread, TableStats};
+pub use stats::{ColumnStats, TableStats};
 pub use table::{RowId, Table};
 pub use value::{Cmp, Value, NULL};
 pub use wire::WireError;

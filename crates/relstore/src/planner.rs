@@ -165,21 +165,18 @@ impl EqClasses {
 pub fn plan(db: &Database, q: &ConjQuery, cfg: &PlannerConfig) -> Plan {
     let classes = EqClasses::build(q);
     let est: Vec<usize> = (0..q.aliases.len()).map(|a| estimate(db, q, a)).collect();
-    let pen: Vec<usize> = (0..q.aliases.len())
-        .map(|a| chunk_penalty(db, q, a))
-        .collect();
     let order = match cfg.order {
         JoinOrder::Syntactic => (0..q.aliases.len()).collect::<Vec<_>>(),
         JoinOrder::GreedyStats => {
             let seed = match cfg.goal {
                 OptGoal::AllRows => None,
-                OptGoal::FirstRows(k) => first_rows_anchor(q, &est, k, &pen),
+                OptGoal::FirstRows(k) => first_rows_anchor(q, &est, k),
             };
             greedy_order(q, &classes, &est, seed)
         }
     };
     let (estimated_startup, estimated_total, estimated_result) =
-        plan_estimates(q, &classes, &est, &order, &pen);
+        plan_estimates(q, &classes, &est, &order);
 
     let mut bound: Vec<bool> = vec![false; q.aliases.len()];
     let mut consumed: Vec<bool> = vec![false; q.conds.len()];
@@ -372,52 +369,6 @@ fn greedy_order(
 /// document-ordered prefix.
 const CHUNK_PENALTY: usize = 2;
 
-/// The chunked-emission penalty for anchoring the pipeline on alias
-/// `a`, refined by per-tree match-density statistics when the catalog
-/// carries them ([`crate::stats::TableStats::group_spread`], fed by
-/// the aggregation layer's per-tree tables): a chunked executor pays
-/// one sort-and-rescan round per *tree chunk* the anchor's candidates
-/// span, so an anchor value confined to a few trees is barely worse
-/// than document-ordered emission, while a corpus-wide value pays up
-/// to double the flat penalty. The spread of the alias's **tightest**
-/// constant equality governs (that is the probe the access path will
-/// key on); without grouped statistics the flat [`CHUNK_PENALTY`]
-/// keeps the historical model.
-fn chunk_penalty(db: &Database, q: &ConjQuery, a: usize) -> usize {
-    let table = q.aliases[a];
-    let Some(stats) = db.stats(table) else {
-        return CHUNK_PENALTY;
-    };
-    let mut tightest: Option<(usize, u32, u32)> = None;
-    for c in &q.conds {
-        if c.left.alias != a || c.cmp != Cmp::Eq {
-            continue;
-        }
-        let Operand::Const(v) = c.right else { continue };
-        let Some((gw, gt)) = stats.group_spread(c.left.col, v) else {
-            continue;
-        };
-        let e = stats.est_eq(c.left.col, v);
-        let tighter = match tightest {
-            None => true,
-            Some((be, _, _)) => e < be,
-        };
-        if tighter {
-            tightest = Some((e, gw, gt));
-        }
-    }
-    match tightest {
-        Some((_, gw, gt)) if gt > 0 => {
-            // Map the spanned-tree fraction onto [1, 2 · CHUNK_PENALTY],
-            // rounding to nearest; a third of the corpus lands on the
-            // flat penalty.
-            let span = (2 * CHUNK_PENALTY - 1) * gw as usize;
-            1 + (span + gt as usize / 2) / gt as usize
-        }
-        _ => CHUNK_PENALTY,
-    }
-}
-
 /// Estimated cost of the first `k` output tuples when the pipeline is
 /// anchored on alias `a`.
 ///
@@ -426,8 +377,8 @@ fn chunk_penalty(db: &Database, q: &ConjQuery, a: usize) -> usize {
 /// spread across its `est[a]` rows, so the first `min(k, m)` tuples
 /// cost about `est[a] · min(k, m) / m` candidate rows, each paying one
 /// index probe per remaining alias. Non-output anchors additionally pay
-/// their [`chunk_penalty`] for chunked (sort-and-rescan) emission.
-fn startup_cost(est: &[usize], k: usize, a: usize, out: Option<usize>, pen: &[usize]) -> usize {
+/// [`CHUNK_PENALTY`] for chunked (sort-and-rescan) emission.
+fn startup_cost(est: &[usize], k: usize, a: usize, out: Option<usize>) -> usize {
     let n = est.len().max(1);
     let m = est.iter().copied().min().unwrap_or(0).max(1);
     let k = k.max(1);
@@ -436,18 +387,18 @@ fn startup_cost(est: &[usize], k: usize, a: usize, out: Option<usize>, pen: &[us
     if Some(a) == out {
         cost
     } else {
-        cost.saturating_mul(pen.get(a).copied().unwrap_or(CHUNK_PENALTY))
+        cost.saturating_mul(CHUNK_PENALTY)
     }
 }
 
 /// The anchor (first bound alias) minimizing [`startup_cost`], ties
 /// broken toward the output alias (document-order emission), then the
 /// smaller estimate, then the alias id.
-fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize, pen: &[usize]) -> Option<usize> {
+fn first_rows_anchor(q: &ConjQuery, est: &[usize], k: usize) -> Option<usize> {
     let out = q.projection.first().map(|c| c.alias);
     (0..q.aliases.len()).min_by_key(|&a| {
         (
-            startup_cost(est, k, a, out, pen),
+            startup_cost(est, k, a, out),
             usize::from(Some(a) != out),
             est[a],
             a,
@@ -472,14 +423,13 @@ fn plan_estimates(
     classes: &EqClasses,
     est: &[usize],
     order: &[usize],
-    pen: &[usize],
 ) -> (usize, usize, usize) {
     if order.is_empty() {
         // A stepless plan emits exactly one (empty) tuple.
         return (1, 1, 1);
     }
     let out = q.projection.first().map(|c| c.alias);
-    let startup = startup_cost(est, 1, order[0], out, pen);
+    let startup = startup_cost(est, 1, order[0], out);
     let mut bound = vec![false; q.aliases.len()];
     let mut inter = 1usize;
     let mut total = 0usize;
@@ -1080,43 +1030,6 @@ mod tests {
         assert_eq!(plan_signature(&p4), plan_signature(&p4b));
         assert_ne!(plan_signature(&p4), plan_signature(&p5));
         assert_eq!(plan_signature(&Plan::constant_empty()), None);
-    }
-
-    #[test]
-    fn grouped_stats_scale_the_chunked_anchor_penalty() {
-        // Two-alias query anchored (greedy) on the selective non-output
-        // alias b: its startup estimate carries the chunk penalty.
-        // val = 0 occurs in every grp (10/10 trees); val = 9 in one.
-        let mk = |tid, v| {
-            let mut q = ConjQuery::default();
-            let a = q.add_alias(tid);
-            let b = q.add_alias(tid);
-            q.conds
-                .push(Cond::against_const(ColRef::new(b, VAL), Cmp::Eq, v));
-            q.conds.push(Cond::between(
-                ColRef::new(a, GRP),
-                Cmp::Eq,
-                ColRef::new(b, GRP),
-            ));
-            q.projection.push(ColRef::new(a, VAL));
-            q
-        };
-        let (mut db, tid) = setup();
-        let cfg = PlannerConfig::default();
-        let flat_wide = plan(&db, &mk(tid, 0), &cfg).estimated_startup;
-        let flat_point = plan(&db, &mk(tid, 9), &cfg).estimated_startup;
-        db.analyze_grouped(tid, GRP, &[VAL]);
-        let wide = plan(&db, &mk(tid, 0), &cfg);
-        let point = plan(&db, &mk(tid, 9), &cfg);
-        assert_eq!(wide.steps[0].alias, 1, "{wide}");
-        assert!(
-            wide.estimated_startup > flat_wide,
-            "corpus-wide anchor values pay more than the flat penalty"
-        );
-        assert!(
-            point.estimated_startup < flat_point,
-            "single-tree anchor values pay less than the flat penalty"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! because the interned `name` and `value` domains are small relative to
 //! the table.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::schema::ColId;
 use crate::table::Table;
@@ -58,55 +58,10 @@ impl ColumnStats {
     }
 }
 
-/// Per-group (per-tree) spread of one column: how many groups each
-/// value occurs in. The grouping column in practice is `tid`, so
-/// `spread(v)` answers "how many trees contain at least one row with
-/// this value" — the chunk count a chunked (sort-and-rescan) executor
-/// pays when it anchors on that value, and the per-tree match-density
-/// statistic the aggregation layer tabulates.
-#[derive(Clone, Debug, Default)]
-pub struct GroupSpread {
-    groups_with: HashMap<Value, u32>,
-    groups_total: u32,
-}
-
-impl GroupSpread {
-    /// Scan `(group_col, col)` pairs and count, per distinct value of
-    /// `col`, the distinct `group_col` values it co-occurs with.
-    pub fn build(table: &Table, group_col: ColId, col: ColId) -> Self {
-        let groups = table.column(group_col);
-        let values = table.column(col);
-        let mut pairs: HashSet<(Value, Value)> = HashSet::new();
-        let mut distinct_groups: HashSet<Value> = HashSet::new();
-        let mut groups_with: HashMap<Value, u32> = HashMap::new();
-        for (&g, &v) in groups.iter().zip(values.iter()) {
-            distinct_groups.insert(g);
-            if pairs.insert((v, g)) {
-                *groups_with.entry(v).or_insert(0) += 1;
-            }
-        }
-        GroupSpread {
-            groups_with,
-            groups_total: distinct_groups.len() as u32,
-        }
-    }
-
-    /// Groups containing at least one row with value `v`.
-    pub fn groups_with(&self, v: Value) -> u32 {
-        self.groups_with.get(&v).copied().unwrap_or(0)
-    }
-
-    /// Total distinct groups observed.
-    pub fn groups_total(&self) -> u32 {
-        self.groups_total
-    }
-}
-
 /// Statistics for the analyzed columns of one table.
 #[derive(Clone, Debug, Default)]
 pub struct TableStats {
     cols: HashMap<ColId, ColumnStats>,
-    spreads: HashMap<ColId, GroupSpread>,
     rows: usize,
 }
 
@@ -118,7 +73,6 @@ impl TableStats {
                 .iter()
                 .map(|&c| (c, ColumnStats::build(table, c)))
                 .collect(),
-            spreads: HashMap::new(),
             rows: table.num_rows(),
         }
     }
@@ -141,24 +95,6 @@ impl TableStats {
             Some(s) => s.count(v),
             None => self.rows / 10,
         }
-    }
-
-    /// Collect per-group spreads for the listed columns, grouped by
-    /// `group_col` (in practice the tree id). Feeds the planner's
-    /// first-rows chunk model; see [`TableStats::group_spread`].
-    pub fn analyze_grouped(&mut self, table: &Table, group_col: ColId, cols: &[ColId]) {
-        for &c in cols {
-            self.spreads
-                .insert(c, GroupSpread::build(table, group_col, c));
-        }
-    }
-
-    /// The fraction of groups (trees) containing `col = v`, as
-    /// `(groups_with, groups_total)` — `None` unless
-    /// [`TableStats::analyze_grouped`] covered the column.
-    pub fn group_spread(&self, col: ColId, v: Value) -> Option<(u32, u32)> {
-        let s = self.spreads.get(&col)?;
-        Some((s.groups_with(v), s.groups_total()))
     }
 }
 
@@ -189,27 +125,6 @@ mod tests {
     fn top_values_sorted() {
         let s = ColumnStats::build(&sample(), ColId(0));
         assert_eq!(s.top(2), [(1, 4), (2, 1)]);
-    }
-
-    #[test]
-    fn group_spreads_count_distinct_groups_exactly() {
-        // (tid, lex) rows deliberately *not* grouped into tid runs.
-        let mut t = Table::new(Schema::new(&["tid", "lex"]));
-        for row in [[1, 7], [2, 7], [1, 7], [3, 8], [2, 8], [1, 9]] {
-            t.push_row(&row);
-        }
-        let s = GroupSpread::build(&t, ColId(0), ColId(1));
-        assert_eq!(s.groups_total(), 3);
-        assert_eq!(s.groups_with(7), 2);
-        assert_eq!(s.groups_with(8), 2);
-        assert_eq!(s.groups_with(9), 1);
-        assert_eq!(s.groups_with(42), 0);
-
-        let mut st = TableStats::analyze(&t, &[ColId(1)]);
-        assert_eq!(st.group_spread(ColId(1), 7), None, "not yet grouped");
-        st.analyze_grouped(&t, ColId(0), &[ColId(1)]);
-        assert_eq!(st.group_spread(ColId(1), 7), Some((2, 3)));
-        assert_eq!(st.group_spread(ColId(0), 1), None, "uncovered column");
     }
 
     #[test]
