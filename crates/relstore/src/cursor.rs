@@ -61,7 +61,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use crate::catalog::Database;
-use crate::plan::{resolve_bound, run_check, Frame, JoinStep, Plan};
+use crate::plan::{resolve_bound, Frame, JoinStep, Plan, PlanMemos};
 use crate::table::RowId;
 use crate::value::Value;
 use crate::wire;
@@ -381,6 +381,9 @@ pub struct Cursor<'a> {
     seen_wide: HashSet<Vec<Value>>,
     /// Per-step observed counts (always on: plain integer increments).
     obs: Vec<StepObs>,
+    /// Probe memos of every step and check; scratch state, never
+    /// part of a checkpoint.
+    memos: PlanMemos,
     /// Attribute wall-clock time to steps? Off by default — only
     /// EXPLAIN ANALYZE pays for a clock read per state transition.
     timed: bool,
@@ -408,6 +411,7 @@ impl<'a> Cursor<'a> {
         // entry point (execute, count, exists, paging, resume) funnels
         // through `advance_match`, whose first check is `done`.
         let done = plan.const_empty;
+        let memos = PlanMemos::new(&plan);
         Cursor {
             plan,
             db,
@@ -419,6 +423,7 @@ impl<'a> Cursor<'a> {
             seen_narrow: HashSet::new(),
             seen_wide: HashSet::new(),
             obs,
+            memos,
             timed: false,
             step_nanos: Vec::new(),
         }
@@ -509,6 +514,7 @@ impl<'a> Cursor<'a> {
         let narrow = plan.projection.len() <= 2;
         debug_assert_eq!(ckpt.obs.len(), plan.steps.len());
         let done = ckpt.done || plan.const_empty;
+        let memos = PlanMemos::new(&plan);
         let mut cursor = Cursor {
             plan,
             db,
@@ -520,6 +526,7 @@ impl<'a> Cursor<'a> {
             seen_narrow: ckpt.seen_narrow,
             seen_wide: ckpt.seen_wide,
             obs: ckpt.obs,
+            memos,
             timed: false,
             step_nanos: Vec::new(),
         };
@@ -558,17 +565,18 @@ impl<'a> Cursor<'a> {
     }
 
     /// Run the checks scheduled for pipeline position `depth`.
-    fn checks_pass(&self, depth: usize) -> bool {
-        self.plan
-            .checks
-            .iter()
-            .filter(|c| c.due_at(depth))
-            .all(|c| run_check(c, self.db, &self.frame()))
+    fn checks_pass(&mut self, depth: usize) -> bool {
+        let frame = Frame {
+            plan: &self.plan,
+            bindings: &self.bindings,
+            outer: None,
+        };
+        self.memos.checks_pass(&self.plan, self.db, &frame, depth)
     }
 
     /// Open stage `d`: resolve its access path against the current
     /// bindings and return its candidate rows.
-    fn open(&self, d: usize) -> Cands<'a> {
+    fn open(&mut self, d: usize) -> Cands<'a> {
         let db = self.db;
         let step = &self.plan.steps[d];
         let table = db.table(step.table);
@@ -578,7 +586,11 @@ impl<'a> Cursor<'a> {
                 end: table.num_rows() as u32,
             },
             crate::plan::AccessPath::IndexRange { index, eq, lo, hi } => {
-                let frame = self.frame();
+                let frame = Frame {
+                    plan: &self.plan,
+                    bindings: &self.bindings,
+                    outer: None,
+                };
                 let mut key_buf = [0 as Value; 8];
                 debug_assert!(eq.len() <= key_buf.len());
                 for (slot, &op) in key_buf.iter_mut().zip(eq.iter()) {
@@ -587,9 +599,13 @@ impl<'a> Cursor<'a> {
                 let lo_b = resolve_bound(&frame, db, lo);
                 let hi_b = resolve_bound(&frame, db, hi);
                 Cands::Rows {
-                    rows: db
-                        .index(*index)
-                        .range(table, &key_buf[..eq.len()], lo_b, hi_b),
+                    rows: db.index(*index).range(
+                        table,
+                        &key_buf[..eq.len()],
+                        lo_b,
+                        hi_b,
+                        self.memos.step(d),
+                    ),
                     pos: 0,
                 }
             }
@@ -1299,6 +1315,128 @@ mod tests {
         assert!(!exists(&plan, &db));
         assert_eq!(count(&plan, &db), 0);
         assert_eq!(execute_page(&plan, &db, 0, 5), Vec::<Vec<Value>>::new());
+    }
+
+    /// A three-step join over `(grp, tid, val)` whose inner steps
+    /// probe with shared leading keys (the constant `grp` always, the
+    /// outer row's `tid` mostly, advancing between trees), plus a
+    /// `NOT EXISTS` check probing the same index once per outer row.
+    fn memo_plan() -> (Database, Plan) {
+        const TID: ColId = ColId(1);
+        const VAL: ColId = ColId(2);
+        let mut t = Table::new(Schema::new(&["grp", "tid", "val"]));
+        for g in 0..2u32 {
+            for tid in 0..4u32 {
+                for v in 0..4u32 {
+                    t.push_row(&[g, tid, 2 * v + (g * tid + v) % 2]);
+                }
+            }
+        }
+        t.cluster_by(&[ColId(0), TID, VAL]);
+        let mut db = Database::new();
+        let tid = db.add_table("t", t);
+        let idx = db.add_index(tid, "by_grp_tid_val", vec![ColId(0), TID, VAL]);
+        let probe = |alias, grp, on: usize, lo| JoinStep {
+            alias,
+            table: tid,
+            access: AccessPath::IndexRange {
+                index: idx,
+                eq: vec![Operand::Const(grp), Operand::Col(ColRef::new(on, TID))],
+                lo: Some((false, Operand::Col(ColRef::new(lo, VAL)))),
+                hi: None,
+            },
+            residual: vec![],
+            sets: vec![],
+        };
+        // No grp-0 row of n1's tree has n1's value.
+        let check = Plan {
+            alias_tables: vec![tid],
+            steps: vec![JoinStep {
+                alias: 0,
+                table: tid,
+                access: AccessPath::IndexRange {
+                    index: idx,
+                    eq: vec![
+                        Operand::Const(0),
+                        Operand::Outer(ColRef::new(1, TID)),
+                        Operand::Outer(ColRef::new(1, VAL)),
+                    ],
+                    lo: None,
+                    hi: None,
+                },
+                residual: vec![],
+                sets: vec![],
+            }],
+            ..Plan::default()
+        };
+        let plan = Plan {
+            alias_tables: vec![tid; 3],
+            steps: vec![
+                JoinStep {
+                    alias: 0,
+                    table: tid,
+                    access: AccessPath::IndexRange {
+                        index: idx,
+                        eq: vec![Operand::Const(0)],
+                        lo: None,
+                        hi: None,
+                    },
+                    residual: vec![],
+                    sets: vec![],
+                },
+                probe(1, 1, 0, 0),
+                probe(2, 0, 1, 1),
+            ],
+            checks: vec![SubCheck {
+                after_step: 1,
+                negated: true,
+                plan: check,
+            }],
+            projection: vec![
+                ColRef::new(0, VAL),
+                ColRef::new(1, VAL),
+                ColRef::new(2, VAL),
+            ],
+            distinct: false,
+            ..Plan::default()
+        };
+        (db, plan)
+    }
+
+    #[test]
+    fn probe_memos_are_not_checkpoint_state() {
+        let (db, plan) = memo_plan();
+        let (full, straight, _) = execute_analyzed(&plan, &db);
+        assert!(full.len() > 10, "{}", full.len());
+        for split in 0..=full.len() {
+            // Suspend a cursor whose memos are warm; the resumed one
+            // starts with fresh memos and must continue exactly.
+            let mut cursor = Cursor::new(&plan, &db);
+            let head: Vec<Vec<Value>> = cursor.by_ref().take(split).collect();
+            let ckpt = cursor.suspend();
+            let reopened = ckpt.levels.len();
+            let mut resumed = Cursor::resume(&plan, &db, ckpt);
+            let tail: Vec<Vec<Value>> = resumed.by_ref().collect();
+            assert_eq!([head, tail].concat(), full, "split {split}");
+            for (d, (got, want)) in resumed
+                .step_observations()
+                .iter()
+                .zip(&straight)
+                .enumerate()
+            {
+                let reprobe = u64::from(d < reopened);
+                assert_eq!(
+                    (got.probes, got.candidates, got.residual_evals, got.rows_out),
+                    (
+                        want.probes + reprobe,
+                        want.candidates,
+                        want.residual_evals,
+                        want.rows_out
+                    ),
+                    "split {split} step {d}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,13 +34,39 @@
 //!   holds even when duplicate keys leave the sorted permutation
 //!   different from the identity.
 //!
+//! * **Probe memo.** Every probe runs against a [`ProbeMemo`]: the key
+//!   values of the previous probe through the same memo and the window
+//!   left after each of its equality columns was narrowed. A join step
+//!   probes with one memo per step, and its outer rows arrive in
+//!   clustered `(name, tid, left)` order, so consecutive probes nearly
+//!   always repeat the leading key values. The probe skips the
+//!   directory lookup and every narrowing for the leading columns it
+//!   shares with the previous one and starts from the remembered
+//!   window.
+//! * **Finger search.** When the first column that differs holds a
+//!   *larger* value than the memo's (the next tree's `tid`, a later
+//!   `left`), its rows lie after the remembered window of that column
+//!   inside the same parent run. The new window is then galloped
+//!   forward from the old window's end instead of binary-searched over
+//!   the whole parent run; for the leading column the gallop runs over
+//!   the directory from the remembered entry. A smaller value is
+//!   searched afresh over the parent run.
+//!
 //! A probe returns a subslice of the sorted permutation: the rows whose
 //! key lies in the window, in key order. The slice is the one a single
 //! lexicographic binary search over the whole permutation would return,
 //! down to its position, so cursor positions and checkpoints that
-//! index into it are independent of how it was found.
+//! index into it are independent of how it was found. That includes
+//! the memo: a remembered window is exactly the window a fresh search
+//! computes for the same leading values, and a finger search finds the
+//! same partition point as a search over the whole parent run, because
+//! every row before the old window's end holds a value at most the
+//! memo's. [`Index::equal_range`] runs the same code with an empty
+//! memo. Memos are scratch state: nothing persists them, and a memo
+//! that last served another index is reset before use.
 
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::schema::ColId;
 use crate::table::{RowId, Table};
@@ -59,7 +85,35 @@ pub struct Index {
     /// The table's physical order is sorted by `key`, so the key of
     /// `perm[i]` equals the key of row `i`.
     clustered: bool,
+    /// Identity of this build, so a [`ProbeMemo`] can tell whose
+    /// windows it holds.
+    id: u64,
 }
+
+/// Equality columns a [`ProbeMemo`] remembers. Longer prefixes narrow
+/// their further columns afresh on every probe.
+const MEMO_COLS: usize = 8;
+
+/// Scratch state carried between consecutive probes of one index: the
+/// leading key values of the last probe and the window each of them
+/// narrowed the permutation to. See the module docs for how a probe
+/// uses it. A memo never changes a probe's result, only its cost; a
+/// fresh (default) memo makes the probe search from scratch.
+#[derive(Clone, Debug, Default)]
+pub struct ProbeMemo {
+    /// The `Index::id` the windows below belong to; `0` for none.
+    owner: u64,
+    /// Leading equality columns remembered in `keys` / `wins`.
+    len: usize,
+    keys: [Value; MEMO_COLS],
+    /// `wins[j]`: the window of rows equal to `keys[..=j]`.
+    wins: [(u32, u32); MEMO_COLS],
+    /// Directory position of `keys[0]` (its insertion point).
+    dir: u32,
+}
+
+/// Source of `Index::id`s; `0` is reserved for an unowned memo.
+static NEXT_INDEX_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Index {
     /// Build by sorting the row permutation; `O(n log n)`, plus one
@@ -89,6 +143,7 @@ impl Index {
             dir_vals,
             dir_starts,
             clustered,
+            id: NEXT_INDEX_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -109,12 +164,20 @@ impl Index {
 
     /// Rows whose leading key columns equal `prefix`, in key order.
     pub fn equal_range(&self, table: &Table, prefix: &[Value]) -> &[RowId] {
-        self.range(table, prefix, Bound::Unbounded, Bound::Unbounded)
+        self.range(
+            table,
+            prefix,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            &mut ProbeMemo::default(),
+        )
     }
 
     /// Rows whose leading key columns equal `prefix` and whose *next*
     /// key column lies within `(lo, hi)`. `table` must be the table the
-    /// index was built on.
+    /// index was built on. `memo` carries the previous probe's windows
+    /// (see the module docs) and is updated to this probe's; the result
+    /// does not depend on it.
     ///
     /// # Panics
     /// Panics if `prefix` is as long as the whole key but a bound is
@@ -125,6 +188,7 @@ impl Index {
         prefix: &[Value],
         lo: Bound<Value>,
         hi: Bound<Value>,
+        memo: &mut ProbeMemo,
     ) -> &[RowId] {
         assert!(
             prefix.len() <= self.key.len(),
@@ -139,48 +203,81 @@ impl Index {
         );
         debug_assert_eq!(table.num_rows(), self.perm.len(), "probe on another table");
 
-        let (mut start, mut end) = match prefix.first() {
-            None => (0, self.perm.len()),
-            Some(&v) => {
+        if memo.owner != self.id {
+            memo.owner = self.id;
+            memo.len = 0;
+        }
+        // Leading columns shared with the memo keep its windows.
+        let known = memo.len;
+        let shared = prefix
+            .iter()
+            .zip(&memo.keys[..known])
+            .take_while(|(v, m)| v == m)
+            .count();
+        let (mut start, mut end) = match shared {
+            0 => (0, self.perm.len()),
+            k => {
+                let (s, e) = memo.wins[k - 1];
+                (s as usize, e as usize)
+            }
+        };
+        // The first differing column moved forward: its new window lies
+        // after the old one inside the same parent run.
+        let finger = shared < known && prefix.get(shared).is_some_and(|&v| v > memo.keys[shared]);
+        for (j, &v) in prefix.iter().enumerate().skip(shared) {
+            let near = finger && j == shared;
+            (start, end) = if j == 0 {
                 // An absent value yields the empty run at its insertion
                 // point, where the lexicographic search would end too.
-                let i = self.dir_vals.partition_point(|&d| d < v);
+                let from = if near { memo.dir as usize } else { 0 };
+                let i = from + search(&self.dir_vals[from..], near, |&d| d < v);
+                memo.dir = i as u32;
                 let s = self.dir_starts[i] as usize;
                 if self.dir_vals.get(i) == Some(&v) {
                     (s, self.dir_starts[i + 1] as usize)
                 } else {
                     (s, s)
                 }
+            } else {
+                let from = if near { memo.wins[j].1 as usize } else { start };
+                let eq = Bound::Included(v);
+                self.narrow(table, j, (from, end), eq, eq, near)
+            };
+            if j < MEMO_COLS {
+                memo.keys[j] = v;
+                memo.wins[j] = (start as u32, end as u32);
             }
-        };
-        for (j, &v) in prefix.iter().enumerate().skip(1) {
-            (start, end) =
-                self.narrow(table, j, start, end, Bound::Included(v), Bound::Included(v));
+        }
+        // Deeper remembered windows stay valid only if every column
+        // above them was shared.
+        if shared < prefix.len() {
+            memo.len = prefix.len().min(MEMO_COLS);
         }
         if bounded {
-            (start, end) = self.narrow(table, prefix.len(), start, end, lo, hi);
+            (start, end) = self.narrow(table, prefix.len(), (start, end), lo, hi, false);
         }
         &self.perm[start..end]
     }
 
     /// Narrow `start..end`, a run of rows equal on the key columns
     /// before `j` (so sorted on column `j`), to the rows whose
-    /// column-`j` value lies within `(lo, hi)`.
+    /// column-`j` value lies within `(lo, hi)`. `near` says the start
+    /// is likely close to `start` and is galloped for.
     #[inline]
     fn narrow(
         &self,
         table: &Table,
         j: usize,
-        start: usize,
-        end: usize,
+        (start, end): (usize, usize),
         lo: Bound<Value>,
         hi: Bound<Value>,
+        near: bool,
     ) -> (usize, usize) {
         let col = table.column(self.key[j]);
         let (a, b) = if self.clustered {
-            window(&col[start..end], lo, hi, |&v| v)
+            window(&col[start..end], lo, hi, near, |&v| v)
         } else {
-            window(&self.perm[start..end], lo, hi, |r| col[r.index()])
+            window(&self.perm[start..end], lo, hi, near, |r| col[r.index()])
         };
         (start + a, start + b)
     }
@@ -193,12 +290,13 @@ fn window<T>(
     run: &[T],
     lo: Bound<Value>,
     hi: Bound<Value>,
+    near: bool,
     val: impl Fn(&T) -> Value,
 ) -> (usize, usize) {
     let a = match lo {
         Bound::Unbounded => 0,
-        Bound::Included(v) => run.partition_point(|x| val(x) < v),
-        Bound::Excluded(v) => run.partition_point(|x| val(x) <= v),
+        Bound::Included(v) => search(run, near, |x| val(x) < v),
+        Bound::Excluded(v) => search(run, near, |x| val(x) <= v),
     };
     let rest = &run[a..];
     let b = match hi {
@@ -207,6 +305,17 @@ fn window<T>(
         Bound::Excluded(v) => gallop(rest, |x| val(x) < v),
     };
     (a, a + b)
+}
+
+/// `run.partition_point(pred)`, galloped for when the point is
+/// likely `near` the front.
+#[inline]
+fn search<T>(run: &[T], near: bool, pred: impl Fn(&T) -> bool) -> usize {
+    if near {
+        gallop(run, pred)
+    } else {
+        run.partition_point(pred)
+    }
 }
 
 /// `run.partition_point(pred)`, found by probing doubling distances
@@ -266,7 +375,13 @@ mod tests {
         assert_eq!(
             lefts(
                 &t,
-                idx.range(&t, &[1, 1], Bound::Included(5), Bound::Unbounded)
+                idx.range(
+                    &t,
+                    &[1, 1],
+                    Bound::Included(5),
+                    Bound::Unbounded,
+                    &mut ProbeMemo::default()
+                )
             ),
             [5, 9]
         );
@@ -274,7 +389,13 @@ mod tests {
         assert_eq!(
             lefts(
                 &t,
-                idx.range(&t, &[1, 1], Bound::Excluded(5), Bound::Unbounded)
+                idx.range(
+                    &t,
+                    &[1, 1],
+                    Bound::Excluded(5),
+                    Bound::Unbounded,
+                    &mut ProbeMemo::default()
+                )
             ),
             [9]
         );
@@ -282,7 +403,13 @@ mod tests {
         assert_eq!(
             lefts(
                 &t,
-                idx.range(&t, &[1, 1], Bound::Included(2), Bound::Excluded(9))
+                idx.range(
+                    &t,
+                    &[1, 1],
+                    Bound::Included(2),
+                    Bound::Excluded(9),
+                    &mut ProbeMemo::default()
+                )
             ),
             [2, 5]
         );
@@ -290,19 +417,37 @@ mod tests {
         assert_eq!(
             lefts(
                 &t,
-                idx.range(&t, &[1, 1], Bound::Included(5), Bound::Included(5))
+                idx.range(
+                    &t,
+                    &[1, 1],
+                    Bound::Included(5),
+                    Bound::Included(5),
+                    &mut ProbeMemo::default()
+                )
             ),
             [5]
         );
         // empty window
         assert_eq!(
-            idx.range(&t, &[1, 1], Bound::Included(10), Bound::Unbounded)
-                .len(),
+            idx.range(
+                &t,
+                &[1, 1],
+                Bound::Included(10),
+                Bound::Unbounded,
+                &mut ProbeMemo::default()
+            )
+            .len(),
             0
         );
         assert_eq!(
-            idx.range(&t, &[1, 1], Bound::Included(6), Bound::Included(3))
-                .len(),
+            idx.range(
+                &t,
+                &[1, 1],
+                Bound::Included(6),
+                Bound::Included(3),
+                &mut ProbeMemo::default()
+            )
+            .len(),
             0
         );
     }
@@ -318,7 +463,13 @@ mod tests {
     #[should_panic(expected = "range bound")]
     fn bound_without_next_column_panics() {
         let (t, idx) = sample();
-        idx.range(&t, &[1, 1, 5], Bound::Included(1), Bound::Unbounded);
+        idx.range(
+            &t,
+            &[1, 1, 5],
+            Bound::Included(1),
+            Bound::Unbounded,
+            &mut ProbeMemo::default(),
+        );
     }
 
     #[test]
@@ -349,10 +500,12 @@ mod tests {
             t.push_row(&[rng.gen_range(0..8), rng.gen_range(0..50)]);
         }
         let idx = Index::build(&t, vec![ColId(0), ColId(1)]);
+        // One memo across all probes: shared and advancing prefixes.
+        let mut memo = ProbeMemo::default();
         for a in 0..8u32 {
             for lo in [0u32, 10, 25, 49] {
                 let got = idx
-                    .range(&t, &[a], Bound::Included(lo), Bound::Unbounded)
+                    .range(&t, &[a], Bound::Included(lo), Bound::Unbounded, &mut memo)
                     .len();
                 let want = t
                     .scan()

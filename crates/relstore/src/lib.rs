@@ -80,7 +80,7 @@ pub use cursor::{
     CursorCheckpoint, StepObs,
 };
 pub use expr::{ColRef, Cond, InCond, Operand};
-pub use index::Index;
+pub use index::{Index, ProbeMemo};
 pub use multi::{anchor_key, execute_shared, group_by_anchor, AnchorKey, SharedScanStats};
 pub use plan::{AccessPath, JoinStep, Plan, SubCheck};
 pub use planner::{plan, plan_fingerprint, plan_signature, JoinOrder, OptGoal, PlannerConfig};

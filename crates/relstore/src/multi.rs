@@ -25,7 +25,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::catalog::{Database, IndexId, TableId};
 use crate::expr::Operand;
-use crate::plan::{resolve_bound, run, run_check, satisfies, AccessPath, Frame, Plan};
+use crate::index::ProbeMemo;
+use crate::plan::{resolve_bound, run, satisfies, AccessPath, Frame, Plan, PlanMemos};
 use crate::table::RowId;
 use crate::value::Value;
 
@@ -120,6 +121,9 @@ struct Member<'a> {
     bindings: Vec<RowId>,
     seen: Seen,
     out: Vec<Vec<Value>>,
+    /// Probe memos for the member's steps and checks, kept for the
+    /// whole shared scan.
+    memos: PlanMemos,
     /// `false` once an uncorrelated `NOT EXISTS`-style check proved the
     /// member empty before the anchor loop started.
     live: bool,
@@ -150,22 +154,22 @@ pub fn execute_shared(plans: &[&Plan], db: &Database) -> (Vec<Vec<Vec<Value>>>, 
         .iter()
         .map(|plan| {
             let bindings = vec![RowId(0); plan.alias_tables.len()];
+            let mut memos = PlanMemos::new(plan);
             // Uncorrelated checks fire before the first step binds in
             // the solo pipeline; here that is once, before the shared
             // anchor loop. A failed check kills the member outright.
-            let live = plan.checks.iter().filter(|c| c.due_at(0)).all(|c| {
-                let frame = Frame {
-                    plan,
-                    bindings: &bindings,
-                    outer: None,
-                };
-                run_check(c, db, &frame)
-            });
+            let frame = Frame {
+                plan,
+                bindings: &bindings,
+                outer: None,
+            };
+            let live = memos.checks_pass(plan, db, &frame, 0);
             Member {
                 plan,
                 bindings,
                 seen: Seen::for_plan(plan),
                 out: Vec::new(),
+                memos,
                 live,
             }
         })
@@ -191,7 +195,13 @@ pub fn execute_shared(plans: &[&Plan], db: &Database) -> (Vec<Vec<Vec<Value>>>, 
             }
             let (lo_b, hi_b) = (resolve_bound(&frame, db, lo), resolve_bound(&frame, db, hi));
             db.index(*index)
-                .range(table, &key_buf[..eq.len()], lo_b, hi_b)
+                .range(
+                    table,
+                    &key_buf[..eq.len()],
+                    lo_b,
+                    hi_b,
+                    &mut ProbeMemo::default(),
+                )
                 .to_vec()
         }
     };
@@ -221,9 +231,12 @@ pub fn execute_shared(plans: &[&Plan], db: &Database) -> (Vec<Vec<Vec<Value>>>, 
                 bindings,
                 seen,
                 out,
+                memos,
                 ..
             } = m;
-            run(plan, db, bindings, None, 1, &mut |frame: &Frame<'_>| {
+            run(plan, db, bindings, None, 1, memos, &mut |frame: &Frame<
+                '_,
+            >| {
                 emit_row(db, frame, seen, out);
                 true // full enumeration: never stop early
             });

@@ -14,6 +14,7 @@ use std::ops::Bound;
 
 use crate::catalog::{Database, IndexId, TableId};
 use crate::expr::{ColRef, Cond, InCond, Operand};
+use crate::index::ProbeMemo;
 use crate::table::RowId;
 use crate::value::Value;
 
@@ -116,6 +117,51 @@ impl Plan {
     }
 }
 
+/// The probe memos of one plan execution: one [`ProbeMemo`] per step
+/// and, recursively, one set per [`SubCheck`] plan, reused for every
+/// probe the step (or check) makes, across outer rows. Scratch state
+/// only: a resumed cursor starts from fresh memos.
+#[derive(Debug)]
+pub(crate) struct PlanMemos {
+    steps: Vec<ProbeMemo>,
+    checks: Vec<PlanMemos>,
+}
+
+impl PlanMemos {
+    pub(crate) fn new(plan: &Plan) -> Self {
+        PlanMemos {
+            steps: vec![ProbeMemo::default(); plan.steps.len()],
+            checks: plan
+                .checks
+                .iter()
+                .map(|c| PlanMemos::new(&c.plan))
+                .collect(),
+        }
+    }
+
+    /// The memo of step `d`.
+    pub(crate) fn step(&mut self, d: usize) -> &mut ProbeMemo {
+        &mut self.steps[d]
+    }
+
+    /// Run the checks of `plan` due at pipeline position `step_idx`
+    /// (see [`SubCheck::due_at`]) against `frame`, each with its own
+    /// memos. `true` when all pass.
+    pub(crate) fn checks_pass(
+        &mut self,
+        plan: &Plan,
+        db: &Database,
+        frame: &Frame<'_>,
+        step_idx: usize,
+    ) -> bool {
+        plan.checks
+            .iter()
+            .zip(&mut self.checks)
+            .filter(|(c, _)| c.due_at(step_idx))
+            .all(|(c, memos)| run_check(c, db, frame, memos))
+    }
+}
+
 /// Execution context *view*: the bindings of one plan level plus a link
 /// to the enclosing level for `Outer` operands. Borrowing (rather than
 /// owning) the binding vector lets both the recursive existence checks
@@ -162,33 +208,26 @@ pub(crate) fn resolve_bound(
 /// `emit` returns `false` to stop early (first witness). Also the
 /// per-member continuation of [`crate::multi::execute_shared`], which
 /// hand-binds a shared anchor row and resumes the pipeline at step 1.
+/// `memos` must be built for `plan` and persists across calls.
 pub(crate) fn run(
     plan: &Plan,
     db: &Database,
     bindings: &mut Vec<RowId>,
     outer: Option<&Frame<'_>>,
     step_idx: usize,
+    memos: &mut PlanMemos,
     emit: &mut dyn FnMut(&Frame<'_>) -> bool,
 ) -> bool {
     // Pending subquery checks at this point in the pipeline.
-    for check in &plan.checks {
-        if check.due_at(step_idx) {
-            let frame = Frame {
-                plan,
-                bindings,
-                outer,
-            };
-            if !run_check(check, db, &frame) {
-                return true; // prune this binding, keep enumerating
-            }
-        }
+    let frame = Frame {
+        plan,
+        bindings,
+        outer,
+    };
+    if !memos.checks_pass(plan, db, &frame, step_idx) {
+        return true; // prune this binding, keep enumerating
     }
     if step_idx == plan.steps.len() {
-        let frame = Frame {
-            plan,
-            bindings,
-            outer,
-        };
         return emit(&frame);
     }
     let step = &plan.steps[step_idx];
@@ -205,7 +244,7 @@ pub(crate) fn run(
                     };
                     satisfies(step, db, &frame)
                 };
-                if ok && !run(plan, db, bindings, outer, step_idx + 1, emit) {
+                if ok && !run(plan, db, bindings, outer, step_idx + 1, memos, emit) {
                     return false;
                 }
             }
@@ -227,7 +266,9 @@ pub(crate) fn run(
                 (resolve_bound(&frame, db, lo), resolve_bound(&frame, db, hi))
             };
             let keys = &key_buf[..eq.len()];
-            let rows: &[RowId] = db.index(*index).range(table, keys, lo_b, hi_b);
+            let rows: &[RowId] =
+                db.index(*index)
+                    .range(table, keys, lo_b, hi_b, memos.step(step_idx));
             for &row in rows {
                 bindings[step.alias] = row;
                 let ok = {
@@ -238,7 +279,7 @@ pub(crate) fn run(
                     };
                     satisfies(step, db, &frame)
                 };
-                if ok && !run(plan, db, bindings, outer, step_idx + 1, emit) {
+                if ok && !run(plan, db, bindings, outer, step_idx + 1, memos, emit) {
                     return false;
                 }
             }
@@ -267,13 +308,23 @@ pub(crate) fn satisfies(step: &JoinStep, db: &Database, frame: &Frame<'_>) -> bo
         .all(|ic| ic.matches(frame.value(db, ic.col)))
 }
 
-pub(crate) fn run_check(check: &SubCheck, db: &Database, outer: &Frame<'_>) -> bool {
+/// Run one existence check against `outer` with the check plan's
+/// `memos`.
+fn run_check(check: &SubCheck, db: &Database, outer: &Frame<'_>, memos: &mut PlanMemos) -> bool {
     let mut bindings = vec![RowId(0); check.plan.alias_tables.len()];
     let mut found = false;
-    run(&check.plan, db, &mut bindings, Some(outer), 0, &mut |_| {
-        found = true;
-        false // stop at first witness
-    });
+    run(
+        &check.plan,
+        db,
+        &mut bindings,
+        Some(outer),
+        0,
+        memos,
+        &mut |_| {
+            found = true;
+            false // stop at first witness
+        },
+    );
     found != check.negated
 }
 

@@ -188,18 +188,20 @@ fn accept_loop(svc: &Arc<Service>, listener: &TcpListener, cfg: &ServerConfig, s
 
 /// Tell an over-limit client why it is being dropped, best-effort.
 fn refuse(mut stream: TcpStream, limit: usize) {
-    let line = proto::error_line(
+    let mut line = proto::error_line(
         None,
         "overloaded",
         &format!("connection limit ({limit}) reached, retry later"),
     );
+    line.push('\n');
     let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
 }
 
 /// Serve one connection until EOF: read a line, answer a line.
 /// Request-level failures answer and continue; only I/O failures and
-/// an over-long line end the connection.
+/// an over-long line end the connection. Each answer, newline
+/// included, goes out in one write: with `TCP_NODELAY` a separate
+/// newline write would be a second segment and a second client wakeup.
 fn connection(svc: &Service, mut stream: TcpStream, cfg: &ServerConfig) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -209,22 +211,22 @@ fn connection(svc: &Service, mut stream: TcpStream, cfg: &ServerConfig) -> io::R
             LineRead::TooLong => {
                 // The rest of the line was never read, so framing is
                 // lost: answer once and hang up.
-                let line = proto::error_line(
+                let mut line = proto::error_line(
                     None,
                     "bad_request",
                     &format!("request line exceeds {} bytes", cfg.max_line_bytes),
                 );
+                line.push('\n');
                 stream.write_all(line.as_bytes())?;
-                stream.write_all(b"\n")?;
                 return Ok(());
             }
             LineRead::Line(line) => {
                 if line.iter().all(u8::is_ascii_whitespace) {
                     continue;
                 }
-                let response = proto::handle(svc, &line, cfg);
+                let mut response = proto::handle(svc, &line, cfg);
+                response.push('\n');
                 stream.write_all(response.as_bytes())?;
-                stream.write_all(b"\n")?;
                 stream.flush()?;
             }
         }
